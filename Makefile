@@ -43,7 +43,7 @@ bench:
 # `make bench-baseline` with exactly these flags; regenerate it (on the
 # machine class the gate runs on) whenever an intentional perf change moves
 # the numbers.
-BENCH_GATE_FLAGS = -experiment workers,pipeline,churn,publishers,planning,partitions,scale,allocs -queries 300 -rss-items 400 -scale-queries 800 -scale-items 150 -partitions-sweep 1,2,4
+BENCH_GATE_FLAGS = -experiment workers,pipeline,churn,publishers,planning,scale,allocs -queries 300 -rss-items 400 -scale-queries 800 -scale-items 150
 
 bench-pr:
 	$(GO) run ./cmd/mmqjp-bench $(BENCH_GATE_FLAGS) -json BENCH_pr.json

@@ -31,14 +31,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment ids (table3, fig8..fig16, workers, pipeline, churn, publishers, planning, partitions, scale, allocs) or 'all'")
+		experiment = flag.String("experiment", "all", "comma-separated experiment ids (table3, fig8..fig16, workers, pipeline, churn, publishers, planning, scale, allocs) or 'all'")
 		seed       = flag.Int64("seed", 1, "workload generator seed")
 		sweep      = flag.String("queries-sweep", "", "comma-separated query counts for fig8/11/16 (default 10,100,1000,10000,100000)")
 		workers    = flag.String("workers-sweep", "", "comma-separated worker counts for the 'workers' experiment (default 1,2,4,8)")
 		pipeline   = flag.String("pipeline-sweep", "", "comma-separated pipeline depths for the 'pipeline' experiment (default 1,2,4,8)")
 		churn      = flag.String("churn-sweep", "", "comma-separated per-chunk churn counts for the 'churn' experiment (default 0,8,64)")
 		publishers = flag.String("publishers-sweep", "", "comma-separated publisher counts for the 'publishers' experiment (default 1,2,4,8)")
-		partitions = flag.String("partitions-sweep", "", "comma-separated router partition counts for the 'partitions' experiment (default 1,2,4)")
 		queries    = flag.Int("queries", 1000, "query count for fig9/10/12/13")
 		bigQueries = flag.Int("big-queries", 100000, "query count for fig14/15")
 		rssItems   = flag.Int("rss-items", 5000, "stream length for fig16 (paper: 225000)")
@@ -84,9 +83,6 @@ func main() {
 	}
 	if *publishers != "" {
 		opts.PublisherCounts = parseInts("-publishers-sweep", *publishers)
-	}
-	if *partitions != "" {
-		opts.PartitionCounts = parseInts("-partitions-sweep", *partitions)
 	}
 
 	var ids []string

@@ -54,12 +54,10 @@
 // format, so the flag can be added (or dropped) across restarts without
 // losing the existing snapshot.
 //
-// -partitions N (N > 1) runs the engine-of-engines router: subscriptions
-// are partitioned by canonical template signature across N independent
-// engines, every published document fans out to all of them, and the
-// merged match stream is byte-identical to a single engine's — the flag
-// changes scheduling, never output. Snapshots record the partition count
-// and must be restored with the same -partitions value.
+// -partitions is kept only so existing command lines still parse: it
+// accepts 0 and 1 (both mean the one engine the server runs). Any other
+// value exits with a usage error, since the in-process router tier it used
+// to select was removed.
 //
 // -debug-addr starts an HTTP observability sidecar with /metrics
 // (Prometheus text), /healthz (ingest-pipeline liveness under a deadline)
@@ -236,12 +234,17 @@ func main() {
 	planName := flag.String("plan", "auto", "Stage-2 physical plan: auto (adaptive), witness, or rt (forced ablations)")
 	explore := flag.Int("explore", 64, "with -plan auto, run the non-chosen plan on ~1/N of plan decisions to calibrate the cost model (0 disables)")
 	splitThr := flag.Float64("split-threshold", 0, "cost-unit threshold above which a hot template's Stage-2 evaluation is split across workers (0 = built-in default, negative disables; see TUNING.md)")
-	partitions := flag.Int("partitions", 0, "engine-of-engines: partition subscriptions across this many independent engines behind the deterministic router (0 or 1 = a single engine; output is identical either way)")
+	partitions := flag.Int("partitions", 0, "compatibility flag: only 0 or 1 (a single engine) is accepted; the router tier was removed")
 	debugAddr := flag.String("debug-addr", "", "HTTP observability listener (/metrics, /healthz, /debug/pprof); empty disables")
 	snapPath := flag.String("snapshot-path", "", "durable mode: snapshot file to restore on start and save on shutdown; empty disables")
 	snapEvery := flag.Duration("snapshot-every", 0, "with -snapshot-path, also snapshot at this interval (0 = only on shutdown)")
 	snapGzip := flag.Bool("snapshot-gzip", false, "with -snapshot-path, gzip-compress saved snapshots (restores sniff the format, so existing uncompressed snapshots still open)")
 	flag.Parse()
+	if err := checkPartitions(*partitions); err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "mmqjp-server: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	kind := mmqjp.ProcessorMMQJP
 	if *viewMat {
@@ -257,12 +260,11 @@ func main() {
 		owners:  map[mmqjp.QueryID]*client{},
 	}
 	if *debugAddr != "" {
-		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng }, *partitions)
+		s.m = newServerMetrics(func() *mmqjp.Engine { return s.eng })
 	}
 	opts := mmqjp.Options{
 		Processor: kind, Parallelism: *workers, PipelineDepth: *pipeline,
 		Plan: plan, PlanExploreEvery: *explore, SplitThreshold: *splitThr,
-		Partitions: *partitions,
 	}
 	if s.m != nil {
 		opts.OnDocument = s.m.onDocument
@@ -319,6 +321,16 @@ func main() {
 		}
 		go s.serve(s.newClient(conn))
 	}
+}
+
+// checkPartitions validates the -partitions compatibility flag: 0 and 1
+// both select the single engine; larger values named the in-process router
+// tier, which was removed.
+func checkPartitions(n int) error {
+	if n == 0 || n == 1 {
+		return nil
+	}
+	return fmt.Errorf("-partitions %d is not supported: the in-process router tier was removed; use 0 or 1 (a single engine)", n)
 }
 
 // initEngine creates the server's engine: in durable mode an existing

@@ -655,3 +655,20 @@ func TestServerDisconnectUnsubscribes(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestServerPartitionsFlag pins the -partitions compatibility flag: 0 and 1
+// keep parsing (existing command lines pass one of them), and any other
+// value is a usage error naming the removed router tier.
+func TestServerPartitionsFlag(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		if err := checkPartitions(n); err != nil {
+			t.Errorf("-partitions %d rejected: %v", n, err)
+		}
+	}
+	for _, n := range []int{2, 4, -1} {
+		err := checkPartitions(n)
+		if err == nil || !strings.Contains(err.Error(), "router tier was removed") {
+			t.Errorf("-partitions %d: got %v, want an error naming the removed router tier", n, err)
+		}
+	}
+}

@@ -70,7 +70,9 @@
 // Engines are durable: Snapshot serializes the subscription set and the
 // windowed join state at an ingest barrier (an exact admission-order prefix
 // of the stream), and OpenEngine restores an engine that continues the
-// stream byte-identically to one that never restarted. The Store interface
+// stream byte-identically to one that never restarted (snapshots written by
+// the removed in-process router tier, whose join state is split across
+// partitions, are refused). The Store interface
 // (MemStore, FileStore) wraps snapshot transport; FileStore replaces its
 // file atomically. See DESIGN.md "Observability & durability".
 //

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/sequential"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
@@ -65,7 +64,9 @@ func ParsePlan(s string) (Plan, error) {
 
 // Options configures an Engine.
 type Options struct {
-	// Processor selects the join strategy (default ProcessorViewMat).
+	// Processor selects the join strategy. The zero value is
+	// ProcessorMMQJP; ProcessorViewMat is the recommended production mode
+	// (the server's default).
 	Processor ProcessorKind
 	// Plan forces the per-template physical plan (default PlanAuto, the
 	// adaptive chooser). Match output is byte-identical for every
@@ -74,8 +75,9 @@ type Options struct {
 	// PlanExploreEvery enables PlanAuto's exploration policy: roughly one
 	// in this many per-template plan decisions additionally runs the
 	// non-chosen plan, timed for cost-model calibration only (its matches
-	// are discarded, so match output is unchanged). 0 disables
-	// exploration. Ignored for forced plans.
+	// are discarded, so match output is unchanged). The default, 0,
+	// disables exploration; the server passes 64 (its -explore flag).
+	// Ignored for forced plans.
 	PlanExploreEvery int
 	// PlanExploreSeed seeds the deterministic per-template exploration
 	// sampler (0 selects 1).
@@ -99,17 +101,6 @@ type Options struct {
 	// Match output is identical for every setting. Ignored by
 	// ProcessorSequential, which exists for benchmarking only.
 	Parallelism int
-	// Partitions selects the engine-of-engines router tier: with N > 1 the
-	// engine owns N independent join processors, assigns each subscription
-	// to one by hash of its canonical template signature, fans every
-	// published document to all of them, and merges the match streams
-	// under the canonical total order — match output is byte-identical to
-	// an unpartitioned engine for every N. Each partition gets the full
-	// per-partition configuration (Parallelism workers, plan choice, view
-	// cache...). 0 or 1 selects the single-processor engine. Ignored by
-	// ProcessorSequential. Snapshots record the partition count and must
-	// be reopened with the same value (see OpenEngine).
-	Partitions int
 	// SplitThreshold sets the cost-unit EWMA above which a hot template's
 	// Stage-2 evaluation is split into chunks stealable by idle workers,
 	// so one mega-template cannot serialize a Publish on a single worker
@@ -117,12 +108,15 @@ type Options struct {
 	// splitting. Only meaningful with Parallelism > 1; match output is
 	// identical for every setting.
 	SplitThreshold float64
-	// PipelineDepth bounds how many upcoming documents of a PublishBatch
-	// call may have Stage 1 (XML parse, shared-NFA match, witness
-	// construction) running ahead of the in-order Stage-2 consumption
-	// (0 or 1 = fully sequential). Match output is identical for every
-	// depth; per-Publish calls are unaffected. Ignored by
-	// ProcessorSequential.
+	// PipelineDepth bounds how many upcoming documents may have Stage 1
+	// (XML parse, shared-NFA match, witness construction) running ahead
+	// of the in-order Stage-2 consumption: within one PublishBatch call
+	// (0 or 1 = fully sequential), and across PublishAsync calls, where it
+	// is also the admission bound — at most max(PipelineDepth, 1)+1
+	// documents are admitted but not yet consumed before PublishAsync
+	// blocks — and the Stage-1 worker count. Match output is identical
+	// for every depth; synchronous Publish calls are unaffected. Ignored
+	// by ProcessorSequential.
 	PipelineDepth int
 	// OnDocument, when set, is called once per processed document with its
 	// hot-path wall times, after the document has been fully consumed —
@@ -164,31 +158,10 @@ type Match struct {
 // read-only accessors only exclude writers. PublishAsync additionally
 // overlaps the document-local Stage-1 work of concurrently admitted
 // documents through a persistent ingest pipeline (see PublishAsync).
-// joinBackend is the join-processing surface the facade drives: a single
-// *core.Processor, or an *internal/router.Router when Options.Partitions
-// selects the engine-of-engines tier. Both speak core.QueryID (the router's
-// ids are global and dense in registration order, exactly like a
-// processor's), and both implement core.Backend — so the continuous ingest
-// pipeline and its barriers drive either one unchanged, which makes an
-// Ingest.Barrier over a routed backend a router-wide barrier for free.
-type joinBackend interface {
-	core.Backend
-	Register(q *xscl.Query) (core.QueryID, error)
-	Unregister(id core.QueryID) error
-	SkipQueryID()
-	Process(stream string, d *xmldoc.Document) []core.Match
-	ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []core.Match))
-	NumQueries() int
-	NumTemplates() int
-	Stats() core.Stats
-	PlanStats() []core.TemplatePlanStats
-	MaxDocID() int64
-}
-
 type Engine struct {
 	mu   sync.RWMutex
 	opts Options
-	proc joinBackend           // nil when Sequential
+	proc *core.Processor       // nil when Sequential
 	seq  *sequential.Processor // nil otherwise
 
 	// ingestMu guards the lazily started continuous ingest pipeline. It is
@@ -231,7 +204,7 @@ func New(opts Options) *Engine {
 	case ProcessorSequential:
 		e.seq = sequential.NewProcessor()
 	default:
-		cc := core.Config{
+		e.proc = core.NewProcessor(core.Config{
 			ViewMaterialization: opts.Processor == ProcessorViewMat,
 			ViewCacheCapacity:   opts.ViewCacheCapacity,
 			RetainDocuments:     opts.RetainDocuments,
@@ -242,12 +215,7 @@ func New(opts Options) *Engine {
 			SplitThreshold:      opts.SplitThreshold,
 			PipelineDepth:       opts.PipelineDepth,
 			OnDocument:          opts.OnDocument,
-		}
-		if opts.Partitions > 1 {
-			e.proc = router.New(router.Config{Partitions: opts.Partitions, Core: cc})
-		} else {
-			e.proc = core.NewProcessor(cc)
-		}
+		})
 	}
 	return e
 }

@@ -199,6 +199,36 @@ func TestEngineSnapshotErrors(t *testing.T) {
 	}
 }
 
+// TestOpenEngineRejectsRoutedSnapshot feeds hand-written snapshots in the
+// layout the removed router tier wrote — a partition count and one join state
+// per partition in place of "state" — and requires a descriptive error
+// instead of a silent restore over an empty join state. The same snapshot
+// without the routed fields must still open, so the rejection is what the
+// routed fields trigger.
+func TestOpenEngineRejectsRoutedSnapshot(t *testing.T) {
+	const head = `{"format":"mmqjp-snapshot","version":1,` +
+		`"queries":[{"id":0,"source":"S//a->x JOIN{x=y, 100} S//b->y"}],` +
+		`"next_derived":1099511627776,"state":{"next_seq":0,"max_doc":0}`
+	part := `{"next_seq":1,"max_doc":1,"docs":[{"id":1,"ts":1,"seq":0}]}`
+	for name, tail := range map[string]string{
+		"count and states": `,"partitions":2,"part_states":[` + part + `,` + part + `]}`,
+		"count only":       `,"partitions":4}`,
+		"states only":      `,"part_states":[` + part + `]}`,
+	} {
+		_, err := OpenEngine(strings.NewReader(head+tail), Options{Processor: ProcessorViewMat})
+		if err == nil || !strings.Contains(err.Error(), "routed") || !strings.Contains(err.Error(), "router tier was removed") {
+			t.Errorf("%s: OpenEngine error = %v, want a routed-snapshot rejection", name, err)
+		}
+	}
+	eng, err := OpenEngine(strings.NewReader(head+`}`), Options{Processor: ProcessorViewMat})
+	if err != nil {
+		t.Fatalf("unrouted control snapshot rejected: %v", err)
+	}
+	if n := eng.NumQueries(); n != 1 {
+		t.Fatalf("unrouted control snapshot restored %d queries, want 1", n)
+	}
+}
+
 // TestFileStore covers the file-backed store: missing file reports
 // ErrNoSnapshot, Save is atomic-by-rename (the path holds a complete
 // snapshot even when a later Save fails mid-write), and a round-trip

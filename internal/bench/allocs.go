@@ -62,7 +62,7 @@ func AllocsSweep(o Options) Result {
 	res.Rows = append(res.Rows, allocsRow("rss parse", len(texts), parse))
 
 	// Stage 1 in isolation: RunStage1 is the document-local half of the
-	// Backend seam the ingest pipeline drives — NFA match plus witness
+	// two-phase split the ingest pipeline drives — NFA match plus witness
 	// relation construction, no join-state mutation. The processor is
 	// warmed with one full pass so templates, shards and pools are hot.
 	p := core.NewProcessor(core.Config{ViewMaterialization: true})

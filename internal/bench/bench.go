@@ -119,11 +119,6 @@ type Options struct {
 	// continuous async ingest pipeline under concurrent admission,
 	// default 1,2,4,8).
 	PublisherCounts []int
-	// PartitionCounts is the router-partition sweep of the "partitions"
-	// experiment (not a paper figure: it measures the engine-of-engines
-	// router behind the public facade, default 1,2,4; 1 = the single
-	// unpartitioned engine).
-	PartitionCounts []int
 	// ScaleQueries and ScaleItems size the "scale" experiment's
 	// paper-scale workload (scale.go). The nominal paper-scale regime is
 	// workload.DefaultPaperScale() — 100k instances over 2000 items; the
@@ -168,9 +163,6 @@ func (o Options) Defaults() Options {
 	}
 	if len(o.PublisherCounts) == 0 {
 		o.PublisherCounts = []int{1, 2, 4, 8}
-	}
-	if len(o.PartitionCounts) == 0 {
-		o.PartitionCounts = []int{1, 2, 4}
 	}
 	if o.ScaleQueries == 0 {
 		o.ScaleQueries = 1500
@@ -651,51 +643,6 @@ func publisherThroughput(qs []*xscl.Query, stream []*xmldoc.Document, mode Mode,
 	return perSecond(len(stream), time.Since(start)), p
 }
 
-// PartitionsSweep — not a paper figure: end-to-end ingest throughput of the
-// engine-of-engines router (Options.Partitions) versus partition count on
-// the multi-template RSS workload, measured through the public facade (New
-// + PublishBatch) so the router's fan-out, merge, and global-id relabeling
-// are all on the clock. Partitions = 1 is the single unpartitioned engine.
-//
-// The throughput series is "(info)": on a gate host every partition runs
-// the same full document stream, so wall-clock scaling is scheduler noise
-// there and carries no regression signal. The matches column IS the gate's
-// invariant — routed output is byte-identical to the single engine for
-// every N, so the count must not vary down the rows (the run fails fast if
-// it does, rather than publishing a wrong table).
-func PartitionsSweep(o Options) Result {
-	o = o.Defaults()
-	c := workload.DefaultRSS()
-	rng := rand.New(rand.NewSource(o.Seed))
-	qs := c.Queries(rng, o.Queries)
-	srng := rand.New(rand.NewSource(o.Seed + 7))
-	stream := c.Stream(srng, o.RSSItems)
-	res := Result{ID: "partitions",
-		Title:   fmt.Sprintf("routed ingest throughput vs partition count (%d queries, %d items)", o.Queries, len(stream)),
-		Columns: []string{"partitions", "MMQJP+ViewMat (docs/s) (info)", "matches", "templates"}}
-	baselineMatches := int64(-1)
-	for _, n := range o.PartitionCounts {
-		eng := mmqjp.New(mmqjp.Options{Processor: mmqjp.ProcessorViewMat, Partitions: n, PipelineDepth: 2})
-		for _, q := range qs {
-			eng.MustSubscribe(q.Source)
-		}
-		start := time.Now()
-		eng.PublishBatch("S", stream)
-		docsPerSec := perSecond(len(stream), time.Since(start))
-		stats := eng.Stats()
-		if baselineMatches < 0 {
-			baselineMatches = stats.Matches
-		} else if stats.Matches != baselineMatches {
-			panic(fmt.Sprintf("bench: partitions=%d produced %d matches, partitions=%d produced %d — the router broke N-invariance",
-				n, stats.Matches, o.PartitionCounts[0], baselineMatches))
-		}
-		res.Rows = append(res.Rows, []string{
-			fmt.Sprint(n), f(docsPerSec), fmt.Sprint(stats.Matches), fmt.Sprint(stats.Templates)})
-		res.Stats = &stats
-	}
-	return res
-}
-
 // PlanningSweep — not a paper figure: the adaptive-planner ablation. It
 // measures end-to-end throughput (wall clock of per-document Process over
 // the stream) of forced PlanWitness, forced PlanRTDriven, and adaptive
@@ -967,7 +914,7 @@ func sideComplex(part []int, pfx string) string {
 // All returns every experiment id: the paper's tables and figures in paper
 // order, then the repo's own scaling experiments.
 func All() []string {
-	return []string{"table3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "workers", "pipeline", "churn", "publishers", "planning", "partitions", "scale", "allocs"}
+	return []string{"table3", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "workers", "pipeline", "churn", "publishers", "planning", "scale", "allocs"}
 }
 
 // Run executes one experiment by id.
@@ -1003,8 +950,6 @@ func Run(id string, o Options) (Result, error) {
 		return PublishersSweep(o), nil
 	case "planning":
 		return PlanningSweep(o), nil
-	case "partitions":
-		return PartitionsSweep(o), nil
 	case "scale":
 		return ScaleSweep(o), nil
 	case "allocs":

@@ -139,8 +139,7 @@ type Stats struct {
 	Steals      int64
 }
 
-// Add accumulates o into s: per-shard stats into a processor total, or
-// per-partition stats into a routed engine's aggregate.
+// Add accumulates o into s: per-shard stats into a processor total.
 func (s *Stats) Add(o Stats) {
 	s.XPath += o.XPath
 	s.Witness += o.Witness

@@ -5,7 +5,7 @@ import (
 )
 
 // Batch ingestion pipeline: Stage 1 of a document (shared-NFA match plus
-// CurrentWitness construction, runStage1) depends only on the document and
+// CurrentWitness construction, RunStage1) depends only on the document and
 // the registration-time pattern structures — only the Algorithm-2 state
 // merge, Stage-2 evaluation against the join state, and window GC are
 // order-sensitive. ProcessBatch exploits this by running Stage 1 for up to
@@ -34,19 +34,13 @@ func (p *Processor) ProcessBatch(stream string, docs []*xmldoc.Document) [][]Mat
 // cascade composition publishes between batch documents at the same point
 // the sequential path would. deliver may itself call Process (for derived
 // documents) but must not call Register, Unregister or ProcessBatch.
+// PipelineDepth <= 1 (or a single document) runs the documents one Process
+// call at a time; output is identical for every depth.
 func (p *Processor) ProcessBatchFunc(stream string, docs []*xmldoc.Document, deliver func(i int, matches []Match)) {
-	RunBatch(p, p.cfg.PipelineDepth, stream, docs, deliver)
-}
-
-// RunBatch drives docs through any Backend with up to depth documents'
-// Stage 1 in flight ahead of the in-order consume — ProcessBatchFunc
-// generalized over Backend, so the partition router's batch path reuses the
-// same machinery. depth <= 1 (or a single document) selects the sequential
-// per-document path; output is identical for every depth.
-func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deliver func(i int, matches []Match)) {
+	depth := p.cfg.PipelineDepth
 	if depth <= 1 || len(docs) <= 1 {
 		for i, d := range docs {
-			deliver(i, b.ConsumeStage1(b.RunStage1(stream, d)))
+			deliver(i, p.Process(stream, d))
 		}
 		return
 	}
@@ -54,7 +48,7 @@ func RunBatch(b Backend, depth int, stream string, docs []*xmldoc.Document, deli
 	if workers > len(docs) {
 		workers = len(docs)
 	}
-	ing := NewIngest(b, IngestConfig{Depth: depth, Workers: workers})
+	ing := NewIngest(p, IngestConfig{Depth: depth, Workers: workers})
 	for i, d := range docs {
 		i := i
 		// Submit blocks at the admission bound, so the batch never runs

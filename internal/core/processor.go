@@ -724,14 +724,15 @@ type stage1Result struct {
 	xpath, witness, wall time.Duration
 }
 
-// runStage1 performs Stage 1 for one document: shared-NFA matching, witness
+// RunStage1 performs Stage 1 for one document: shared-NFA matching, witness
 // relation construction, and single-block match emission. It only reads
 // registration-time structures (the shared NFA, pattern infos, query lists),
 // so concurrent calls for different documents are safe as long as no
-// Register or Unregister runs concurrently.
+// Register or Unregister runs concurrently. The result is opaque; hand it to
+// ConsumeStage1 of the same processor.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
-func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
+func (p *Processor) RunStage1(stream string, d *xmldoc.Document) *stage1Result {
 	r := &stage1Result{doc: d, w: NewCurrentWitness(d)}
 	t0 := time.Now()
 	res := p.xp.MatchDocument(stream, d)
@@ -784,14 +785,15 @@ func (p *Processor) runStage1(stream string, d *xmldoc.Document) *stage1Result {
 	return r
 }
 
-// consumeStage1 runs the order-sensitive tail of document processing on the
+// ConsumeStage1 runs the order-sensitive tail of document processing on the
 // coordinator: Stage-2 template evaluation against the join state, the
-// Algorithm-2 state merge, view-cache maintenance, and window GC. Results
-// must be consumed in arrival order.
+// Algorithm-2 state merge, view-cache maintenance, and window GC, for a
+// result of this processor's RunStage1. Results must be consumed in arrival
+// order, never concurrently.
 //
 //mmqjp:nondet wall-clock stats timing (output-invisible)
 //mmqjp:shardaccess coordinator section after Stage-2 workers drain; GC invalidates every shard's cache
-func (p *Processor) consumeStage1(r *stage1Result) []Match {
+func (p *Processor) ConsumeStage1(r *stage1Result) []Match {
 	d, w := r.doc, r.w
 	p.stats.Documents++
 	p.stats.XPath += r.xpath
@@ -808,9 +810,7 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 	}
 	// The full per-document set — single-block and Stage-2 matches alike —
 	// leaves under the canonical total order, so output depends only on the
-	// registered query set, never on pattern registration order. That
-	// N-invariance is what lets a partition router re-sort the concatenation
-	// of N engines' streams into the single-engine byte order.
+	// registered query set, never on pattern registration order.
 	sortMatches(out)
 
 	t2 := time.Now()
@@ -859,21 +859,7 @@ func (p *Processor) consumeStage1(r *stage1Result) []Match {
 // when view materialization is enabled) and returns the matches the
 // document triggered.
 func (p *Processor) Process(stream string, d *xmldoc.Document) []Match {
-	return p.consumeStage1(p.runStage1(stream, d))
-}
-
-// RunStage1 implements Backend: the document-local, state-free half of
-// processing, safe to run concurrently for different documents as long as no
-// Register/Unregister runs alongside.
-func (p *Processor) RunStage1(stream string, d *xmldoc.Document) Stage1Result {
-	return p.runStage1(stream, d)
-}
-
-// ConsumeStage1 implements Backend: the order-sensitive tail for a result of
-// this processor's RunStage1. Calls must be made in admission order, never
-// concurrently.
-func (p *Processor) ConsumeStage1(r Stage1Result) []Match {
-	return p.consumeStage1(r.(*stage1Result))
+	return p.ConsumeStage1(p.RunStage1(stream, d))
 }
 
 func (t *Template) headVars() []string {

@@ -435,18 +435,12 @@ func (p *Processor) evalShardViewMat(sh *shard, w *CurrentWitness, d *xmldoc.Doc
 }
 
 // sortMatches orders matches under a total order so the merged output is
-// identical regardless of how templates are sharded across workers — or how
-// queries are partitioned across routed engines. Ties are broken down to the
-// binding vector; fully equal matches are interchangeable.
+// identical regardless of how templates are sharded across workers. Ties are
+// broken down to the binding vector; fully equal matches are
+// interchangeable.
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool { return matchLess(&ms[i], &ms[j]) })
 }
-
-// SortMatches applies the canonical total order to ms in place. It is the
-// order every per-document match set leaves ConsumeStage1 in, exported so a
-// partition router can merge N engines' relabeled streams by concatenating
-// and re-sorting — landing on the exact single-engine byte order.
-func SortMatches(ms []Match) { sortMatches(ms) }
 
 func matchLess(a, b *Match) bool {
 	if a.Query != b.Query {
@@ -480,11 +474,12 @@ func matchLess(a, b *Match) bool {
 }
 
 // templateSig is the template tie-break key. The canonical signature — not
-// Template.ID — because ids are allocation-ordered per processor: a template
-// created earlier by an unrelated query on one engine can invert the
-// relative id order another engine assigns, so ids cannot order matches
-// consistently across partitions. Signatures are global. nil (a single-block
-// match) sorts first, as the old -1 id sentinel did.
+// Template.ID — because ids are allocation-ordered per processor: a restored
+// engine re-registers only the surviving queries, so a template created
+// earlier by a since-unsubscribed query can invert the relative id order the
+// restored processor assigns, and ids cannot order matches consistently
+// across a restart. Signatures depend only on the template. nil (a
+// single-block match) sorts first, as the old -1 id sentinel did.
 func templateSig(t *Template) string {
 	if t == nil {
 		return ""

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/xmldoc"
 	"repro/internal/xscl"
 )
@@ -53,12 +52,17 @@ type engineSnapshot struct {
 	DroppedCascades int64               `json:"dropped_cascades,omitempty"`
 	Docs            []core.SnapRetained `json:"docs,omitempty"`
 	State           core.StateSnapshot  `json:"state"`
+}
 
-	// Routed engines (Options.Partitions > 1) record the partition count
-	// and one join state per partition instead of State; pre-partitioning
-	// snapshots simply lack both fields and restore as before.
-	Partitions int                  `json:"partitions,omitempty"`
-	PartStates []core.StateSnapshot `json:"part_states,omitempty"`
+// decodedSnapshot is what OpenEngine decodes: an engineSnapshot plus the two
+// fields only snapshots of the removed in-process router tier carry (a
+// partition count and one join state per partition in place of State).
+// Such a snapshot cannot be restored — its join state is split across
+// partitions — so the fields are read only to reject it.
+type decodedSnapshot struct {
+	engineSnapshot
+	RoutedParts  int               `json:"partitions"`
+	RoutedStates []json.RawMessage `json:"part_states"`
 }
 
 // Snapshot writes a consistent snapshot of the engine — subscriptions, join
@@ -106,16 +110,7 @@ func (e *Engine) snapshot(w io.Writer) error {
 		Version:         snapshotVersion,
 		NextDerived:     e.nextDerived,
 		DroppedCascades: e.droppedCascades,
-	}
-	// The barrier the caller holds quiesced every partition at the same
-	// admission prefix, so a routed export is one consistent cut across all
-	// of them.
-	switch p := e.proc.(type) {
-	case *router.Router:
-		snap.Partitions = p.Partitions()
-		snap.PartStates = p.ExportStates()
-	case *core.Processor:
-		snap.State = p.ExportState()
+		State:           e.proc.ExportState(),
 	}
 	for id, q := range e.queries {
 		if q == nil {
@@ -145,36 +140,33 @@ func (e *Engine) snapshot(w io.Writer) error {
 // role as in New and need not match the snapshotting engine's options —
 // processor kind (among the shared-join kinds), parallelism, pipeline depth
 // and plan strategy are all output-invisible — except that
-// ProcessorSequential cannot host a snapshot, and Options.Partitions must
-// match the snapshot's partition count: each partition's join state is
-// restored verbatim, and re-sharding a routed state (or splitting an
-// unpartitioned one) would require re-deriving which partition owns which
-// window tuple — rejected rather than guessed. Every subscription resumes
-// under its original QueryID, and publishing the stream suffix produces
-// exactly the matches the original engine would have produced.
+// ProcessorSequential cannot host a snapshot. Snapshots written by the
+// removed in-process router tier (more than one partition) are rejected:
+// merging their per-partition join states is not supported. Every
+// subscription resumes under its original QueryID, and publishing the
+// stream suffix produces exactly the matches the original engine would have
+// produced.
 //
 //mmqjp:nolock the engine is under construction and not yet shared
 func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 	if opts.Processor == ProcessorSequential {
 		return nil, ErrSequentialSnapshot
 	}
-	var snap engineSnapshot
+	var in decodedSnapshot
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("mmqjp: decode snapshot: %w", err)
 	}
+	snap := &in.engineSnapshot
 	if snap.Format != snapshotFormat {
 		return nil, fmt.Errorf("mmqjp: not a snapshot (format %q)", snap.Format)
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("mmqjp: unsupported snapshot version %d", snap.Version)
 	}
-	switch {
-	case snap.Partitions > 1 && opts.Partitions != snap.Partitions:
-		return nil, fmt.Errorf("mmqjp: snapshot was taken with %d partitions; open it with Options.Partitions = %d (got %d)",
-			snap.Partitions, snap.Partitions, opts.Partitions)
-	case snap.Partitions <= 1 && opts.Partitions > 1:
-		return nil, fmt.Errorf("mmqjp: snapshot is unpartitioned; open it with Options.Partitions <= 1 (got %d)", opts.Partitions)
+	if in.RoutedParts > 1 || len(in.RoutedStates) > 0 {
+		return nil, fmt.Errorf("mmqjp: snapshot was taken by a routed engine (%d partitions, %d partition states); the router tier was removed and routed snapshots cannot be restored",
+			in.RoutedParts, len(in.RoutedStates))
 	}
 	e := New(opts)
 	sort.Slice(snap.Queries, func(i, j int) bool { return snap.Queries[i].ID < snap.Queries[j].ID })
@@ -200,15 +192,8 @@ func OpenEngine(r io.Reader, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("mmqjp: restore query %d landed on id %d", sq.ID, id)
 		}
 	}
-	switch p := e.proc.(type) {
-	case *router.Router:
-		if err := p.RestoreStates(snap.PartStates); err != nil {
-			return nil, err
-		}
-	case *core.Processor:
-		if err := p.RestoreState(snap.State); err != nil {
-			return nil, err
-		}
+	if err := e.proc.RestoreState(snap.State); err != nil {
+		return nil, err
 	}
 	for _, rd := range snap.Docs {
 		d, err := ParseDocument(rd.XML, rd.ID, rd.TS)

@@ -3,8 +3,6 @@ package mmqjp
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/router"
 )
 
 // EngineStats is a structured snapshot of the engine's accumulated
@@ -21,11 +19,6 @@ type EngineStats struct {
 	// Sequential is true for ProcessorSequential engines, whose cost is
 	// reported as a single join time (in CQ).
 	Sequential bool `json:"sequential,omitempty"`
-
-	// Partitions is the engine-of-engines partition count (0 for an
-	// unpartitioned engine). Partitioned engines report aggregate counters
-	// here; Engine.PartitionStats breaks them down per partition.
-	Partitions int `json:"partitions,omitempty"`
 
 	Queries   int   `json:"queries"`
 	Templates int   `json:"templates"`
@@ -67,12 +60,8 @@ func (s EngineStats) String() string {
 	if s.Sequential {
 		return fmt.Sprintf("sequential: %d queries, join time %v", s.Queries, s.CQ)
 	}
-	parts := ""
-	if s.Partitions > 1 {
-		parts = fmt.Sprintf("%d partitions, ", s.Partitions)
-	}
-	return fmt.Sprintf("mmqjp: %s%d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, splits %d/%d chunks, steals %d",
-		parts, s.Queries, s.Templates, s.Documents, s.Matches,
+	return fmt.Sprintf("mmqjp: %d queries, %d templates, %d docs, %d matches, xpath %v, witness %v, rvj %v, rl %v, rr %v, cq %v, maintain %v, stage1 %v, stage2 %v, plans witness=%d rt=%d explore=%d, splits %d/%d chunks, steals %d",
+		s.Queries, s.Templates, s.Documents, s.Matches,
 		s.XPath, s.Witness, s.Rvj, s.RL, s.RR, s.CQ, s.Maintain, s.Stage1Wall, s.Stage2Wall,
 		s.WitnessPlans, s.RTPlans, s.Explorations,
 		s.Splits, s.SplitChunks, s.Steals)
@@ -95,7 +84,6 @@ func (e *Engine) Stats() EngineStats {
 	}
 	s := e.proc.Stats()
 	return EngineStats{
-		Partitions:   partitionsOf(e.proc),
 		Queries:      e.proc.NumQueries(),
 		Templates:    e.proc.NumTemplates(),
 		Documents:    s.Documents,
@@ -119,55 +107,4 @@ func (e *Engine) Stats() EngineStats {
 
 		DroppedCascades: e.droppedCascades,
 	}
-}
-
-// partitionsOf reports the router partition count behind a backend (0 for a
-// plain processor).
-func partitionsOf(b joinBackend) int {
-	if r, ok := b.(*router.Router); ok {
-		return r.Partitions()
-	}
-	return 0
-}
-
-// PartitionStats breaks the engine's accumulated cost down per partition:
-// element i is partition i's own live query/template counts and phase
-// counters (engine-level fields — Sequential, Partitions, DroppedCascades —
-// are left zero). It returns nil unless the engine was built with
-// Options.Partitions > 1; the /metrics endpoint labels these by partition.
-func (e *Engine) PartitionStats() []EngineStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.proc.(*router.Router)
-	if !ok {
-		return nil
-	}
-	queries, templates := r.PartitionCounts()
-	stats := r.PartitionStats()
-	out := make([]EngineStats, len(stats))
-	for i, s := range stats {
-		out[i] = EngineStats{
-			Queries:      queries[i],
-			Templates:    templates[i],
-			Documents:    s.Documents,
-			Matches:      s.Matches,
-			XPath:        s.XPath,
-			Witness:      s.Witness,
-			Rvj:          s.Rvj,
-			RL:           s.RL,
-			RR:           s.RR,
-			CQ:           s.CQ,
-			Maintain:     s.Maintain,
-			Stage1Wall:   s.Stage1Wall,
-			Stage2Wall:   s.Stage2Wall,
-			ExploreWall:  s.ExploreWall,
-			WitnessPlans: s.WitnessPlans,
-			RTPlans:      s.RTPlans,
-			Explorations: s.Explorations,
-			Splits:       s.Splits,
-			SplitChunks:  s.SplitChunks,
-			Steals:       s.Steals,
-		}
-	}
-	return out
 }
